@@ -81,9 +81,9 @@ bench-trace:
 	$(GO) test -run='^$$' -bench='ObsExchange|ObsHooks|WorkerHooks|TraceFetch' -benchmem ./internal/broker \
 		| $(GO) run ./cmd/benchjson > BENCH_trace.json
 
-# Wire codec gate: encode/decode throughput per encoding (fp64, fp16,
-# int8) plus the bytes-per-step comparison of coalesced vs per-expert
-# dispatch on the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame
+# Wire codec gate: encode/decode cost per input float64 value (ns/value)
+# per encoding (fp64, fp16, int8) plus the bytes-per-step comparison of
+# coalesced vs per-expert dispatch on the paper geometry. The EncodeFrame/FrameEncoder/DecodeFrame
 # entries in BENCH_wire.json must show 0 allocs/op (steady-state pooled
 # codec), and the StepBytes bytes/step metrics back the fp16 ≤ 30% /
 # int8 ≤ 18% of fp64 wire-volume claims.

@@ -373,19 +373,20 @@ func (x *Executor) pipelined(n int, msgs []*wire.Message, onSent func(i int), on
 			}
 			seq := x.seq.Add(1)
 			msg.Seq = seq
-			// Register before Send: the reply may arrive immediately.
+			// Register and stamp before Send: the reply may arrive, and
+			// the worker stamp its events, before Send returns.
 			pendMu.Lock()
 			pending[seq] = i
 			pendMu.Unlock()
+			if x.Obs != nil {
+				x.Obs.OnSend(n, int(msg.Layer), int(msg.Expert), seq, wire.EncodedSize(msg))
+			}
 			if err := conn.Send(msg); err != nil {
 				pendMu.Lock()
 				delete(pending, seq)
 				pendMu.Unlock()
 				fail(fmt.Errorf("broker: send to worker %d: %w", n, err))
 				return
-			}
-			if x.Obs != nil {
-				x.Obs.OnSend(n, int(msg.Layer), int(msg.Expert), seq, wire.EncodedSize(msg))
 			}
 			if onSent != nil {
 				onSent(i)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // traceDeployment is a master with per-worker handles on SEPARATE trace
@@ -292,6 +293,118 @@ func BenchmarkWorkerHooksPerRequest(b *testing.B) {
 		handle.OnWorkerRecv(0, 1, 2, seq, int64(i), 4096)
 		handle.OnWorkerQueue(0, 1, 2, seq, 0)
 		handle.OnWorkerReply(0, 1, 2, seq, 0, 2048)
+	}
+}
+
+// stampCheckConn reports a test error when the master hands a request
+// to the transport before recording its EvSend.
+type stampCheckConn struct {
+	transport.Conn
+	t *testing.T
+	h *obs.Handle
+}
+
+func (c stampCheckConn) Send(m *wire.Message) error {
+	if m.Type == wire.MsgForward || m.Type == wire.MsgBackward {
+		stamped := false
+		for _, ev := range c.h.Trace.Snapshot() {
+			stamped = stamped || (ev.Kind == obs.EvSend && ev.Seq == m.Seq)
+		}
+		if !stamped {
+			c.t.Errorf("request seq %d reached the transport before its EvSend", m.Seq)
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+// TestSendStampPrecedesWire pins that the master stamps a request's
+// EvSend, and the send time its reply latency is matched against, before
+// the frame reaches the transport. The worker can receive, compute and
+// reply before Send returns; a stamp taken after Send would put T0 after
+// the worker's events and let the reply find no send time.
+func TestSendStampPrecedesWire(t *testing.T) {
+	cfg := testConfig()
+	const workers = 2
+	_, grid := buildFinetuneSetup(cfg, 7)
+	h := obs.NewHandle(obs.Config{Workers: workers, Layers: cfg.Layers, Experts: cfg.Experts})
+	dep := StartLocalWorkers(workers, DefaultWorkerConfig())
+	conns := make([]transport.Conn, workers)
+	for i, c := range dep.Conns {
+		conns[i] = stampCheckConn{Conn: c, t: t, h: h}
+	}
+	exec := NewExecutor(conns, roundRobinAssignment(cfg, workers))
+	exec.Obs = h
+	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	batches := make(map[int]*tensor.Tensor, cfg.Experts)
+	for e := 0; e < cfg.Experts; e++ {
+		batches[e] = tensor.Randn(rng, 1, 4, cfg.D)
+	}
+	if _, err := exec.ForwardExperts(0, batches); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lingeringSendConn holds each forward reply's Send open for a while
+// after delivering it, widening the window in which the master already
+// has the reply but the worker has not yet stamped EvWkReply.
+type lingeringSendConn struct{ transport.Conn }
+
+func (c lingeringSendConn) Send(m *wire.Message) error {
+	err := c.Conn.Send(m)
+	if m.Type == wire.MsgForwardResult {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return err
+}
+
+// TestTraceFetchIncludesRepliedRequests pins that a trace fetch sent after
+// the master holds every reply returns each request's EvWkReply, even when
+// the worker's reply Send is still returning.
+func TestTraceFetchIncludesRepliedRequests(t *testing.T) {
+	cfg := testConfig()
+	_, grid := buildFinetuneSetup(cfg, 7)
+	wcfg := DefaultWorkerConfig()
+	wcfg.Obs = obs.NewHandle(obs.Config{Workers: 1})
+	masterEnd, workerEnd := transport.Pipe()
+	done := make(chan error, 1)
+	//lint:longlived test worker serve loop: returns when the master's Shutdown closes the pipe
+	go func() { done <- NewWorker(0, wcfg).Serve(lingeringSendConn{workerEnd}) }()
+	exec := NewExecutor([]transport.Conn{masterEnd}, roundRobinAssignment(cfg, 1))
+	if err := exec.Distribute(grid, ExpertSpec{D: cfg.D, Hidden: cfg.Hidden, LoRARank: 2, LoRAAlpha: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	batches := map[int]*tensor.Tensor{0: tensor.Randn(rng, 1, 4, cfg.D)}
+	if _, err := exec.ForwardExperts(0, batches); err != nil {
+		t.Fatal(err)
+	}
+	evs, _, _, err := exec.FetchWorkerTrace(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	for _, ev := range evs {
+		if ev.Kind == obs.EvWkReply {
+			replies++
+		}
+	}
+	if replies != 1 {
+		t.Errorf("trace fetch returned %d EvWkReply events, want 1 (the answered forward request)", replies)
+	}
+	if err := exec.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -220,6 +220,12 @@ func (w *Worker) Serve(conn interface {
 			}(msg, arrivedAt)
 			continue
 		}
+		if msg.Type == wire.MsgTraceFetch {
+			// The master fetches once it holds every reply, but a pool
+			// goroutine stamps EvWkReply only after its Send returns: let
+			// in-flight requests finish so the fetch sees their events.
+			wg.Wait()
+		}
 		reply, done := w.handleAt(msg, arrivedAt)
 		if reply != nil {
 			if err := send(reply); err != nil {

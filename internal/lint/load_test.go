@@ -54,6 +54,30 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	}
 }
 
+// TestLoadSkipsNestedModules pins the go tool's ./... rule: a directory
+// below the root with a go.mod of its own is another module, and neither
+// it nor anything under it is part of the analysis unit.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":                "module m\n\ngo 1.22\n",
+		"x/a.go":                "package x\n\nfunc Plain() {}\n",
+		"bench/go.mod":          "module m/bench\n\ngo 1.22\n",
+		"bench/main.go":         "package main\n\nfunc main() { panic(\"nested\") }\n",
+		"bench/inner/broken.go": "package inner\n\nfunc f() int { return undefinedIdent }\n",
+	})
+	pkgs, err := Load(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range pkgs {
+		names = append(names, p.Path)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "m/x" {
+		t.Fatalf("loaded %v, want only m/x (the nested module bench/ is a different module)", names)
+	}
+}
+
 // TestLoadPartialResultsOnTypeErrors pins that a package that fails to
 // typecheck still yields an analysis unit — syntax, partial types, and
 // the errors on the side — so one broken file cannot blind the whole

@@ -54,7 +54,8 @@ func TestClockSyncNegativeOffset(t *testing.T) {
 }
 
 // TestClockSyncEWMAConverges feeds a drifting sequence of samples and
-// checks the EWMA tracks toward the new offset without jumping to it.
+// checks the estimate moves monotonically toward the new offset and
+// lands near it.
 func TestClockSyncEWMAConverges(t *testing.T) {
 	cs := NewClockSync(1)
 	t0, t1, t2, t3 := pingSample(0, 1_000_000, 200_000, 10_000)
@@ -77,6 +78,34 @@ func TestClockSyncEWMAConverges(t *testing.T) {
 	}
 	if math.Abs(float64(cs.Offset(0))-2_000_000) > 200_000 {
 		t.Fatalf("after 60 samples Offset = %d, want within 10%% of 2000000", cs.Offset(0))
+	}
+}
+
+// TestClockSyncPrefersMinimumDelay pins the clock filter: a ping whose
+// outbound leg stalls has a long RTT and a skewed θ, and must not move
+// the offset; once every sample in the window has the new path's RTT,
+// the estimate follows it.
+func TestClockSyncPrefersMinimumDelay(t *testing.T) {
+	cs := NewClockSync(1)
+	const offset = 1_000_000
+	t0, t1, t2, t3 := pingSample(0, offset, 20_000, 5_000)
+	cs.Sample(0, t0, t1, t2, t3)
+	// Outbound leg 420µs, return leg 20µs: θ reads 200µs high.
+	cs.Sample(0, 10_000_000, 10_420_000+offset, 10_425_000+offset, 10_445_000)
+	if got := cs.Offset(0); got != offset {
+		t.Fatalf("Offset = %d after a stalled ping, want %d (the minimum-delay sample's)", got, offset)
+	}
+	if got := cs.ErrorBound(0); got < 20_000 {
+		t.Fatalf("ErrorBound = %d, want at least the selected sample's rtt/2 = 20000", got)
+	}
+	// The path slows for good: after a window of slower samples the
+	// fast one has aged out and the offset is the new clock's.
+	for i := 0; i < clockWindow; i++ {
+		t0, t1, t2, t3 := pingSample(int64(i+2)*10_000_000, 1_500_000, 60_000, 5_000)
+		cs.Sample(0, t0, t1, t2, t3)
+	}
+	if got := cs.Offset(0); got != 1_500_000 {
+		t.Fatalf("Offset = %d after the window turned over, want 1500000", got)
 	}
 }
 

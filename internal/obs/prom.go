@@ -79,7 +79,7 @@ func WriteMetrics(w io.Writer, s Source) error {
 			// identity estimate for a never-sampled worker would read as a
 			// measured zero offset.
 			if sampled {
-				pw.header("vela_trace_clock_offset_ns", "gauge", "EWMA clock offset of each worker vs the master (worker = master + offset).")
+				pw.header("vela_trace_clock_offset_ns", "gauge", "Clock offset of each worker vs the master (worker = master + offset), from the minimum-RTT recent ping.")
 				for n := 0; n < h.Workers(); n++ {
 					if c.Samples(n) > 0 {
 						pw.sample("vela_trace_clock_offset_ns", `worker="`+strconv.Itoa(n)+`"`, float64(c.Offset(n)))

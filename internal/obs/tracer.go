@@ -16,8 +16,8 @@ type EventKind uint8
 const (
 	// EvEnqueue marks a request entering the per-worker send window.
 	EvEnqueue EventKind = iota + 1
-	// EvSend marks a request on the wire; Dur is the time spent waiting
-	// for a window slot plus the Send call itself.
+	// EvSend marks a request handed to the transport, stamped just before
+	// the Send call so it precedes every worker-side event of the request.
 	EvSend
 	// EvCompute marks one expert forward/backward on a worker; Dur is
 	// the compute time under the expert lock.

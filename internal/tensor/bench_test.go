@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -108,5 +109,57 @@ func BenchmarkMatMulPaperGeometrySpeedup(b *testing.B) {
 	parallelPer := b.Elapsed().Nanoseconds() / int64(b.N)
 	if parallelPer > 0 {
 		b.ReportMetric(float64(serialPer)/float64(parallelPer), "speedup")
+	}
+}
+
+// kernelShapes are the GEMM shapes the step benchmark's workloads run,
+// as n×k×m (the output is [n,m], the reduction is over k): the
+// narrow-tcp expert FFN (21 routed rows, d=32, h=64), its rank-8 LoRA
+// x@A, the wide-chan backbone's rank-8 LoRA, and the wide-chan expert FFN
+// (d=128, h=352) in both directions.
+var kernelShapes = []struct{ n, k, m int }{
+	{21, 32, 64},
+	{21, 32, 8},
+	{128, 128, 8},
+	{128, 128, 352},
+	{128, 352, 128},
+}
+
+// BenchmarkKernel times each GEMM at each kernelShapes entry twice:
+// "ref" calls the Go row kernel directly, "dispatch" the public entry
+// point (the AVX2 kernel where the CPU has it, packing included for
+// MatMulT). Both run on one goroutine, so ns/madd — nanoseconds per
+// multiply-add — compares the kernels, not the sharding.
+func BenchmarkKernel(b *testing.B) {
+	old := Parallelism()
+	SetParallelism(1)
+	b.Cleanup(func() { SetParallelism(old) })
+	for _, sh := range kernelShapes {
+		n, k, m := sh.n, sh.k, sh.m
+		rng := rand.New(rand.NewSource(6))
+		x := Randn(rng, 1, n, k)  // MatMul, MatMulT left operand
+		xt := Randn(rng, 1, k, n) // TMatMul left operand
+		w := Randn(rng, 1, k, m)  // MatMul, TMatMul right operand
+		wt := Randn(rng, 1, m, k) // MatMulT right operand
+		r := Zeros(n, m)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"MatMul/ref", func() { matMulRows(r.Data, x.Data, w.Data, 0, n, k, m) }},
+			{"MatMul/dispatch", func() { x.MatMulInto(w, r) }},
+			{"MatMulT/ref", func() { matMulTRows(r.Data, x.Data, wt.Data, 0, n, k, m) }},
+			{"MatMulT/dispatch", func() { x.MatMulTInto(wt, r) }},
+			{"TMatMul/ref", func() { tMatMulRows(r.Data, xt.Data, w.Data, 0, n, k, n, m) }},
+			{"TMatMul/dispatch", func() { xt.TMatMulInto(w, r) }},
+		}
+		for _, kr := range kernels {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kr.name, n, k, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kr.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n*k*m)), "ns/madd")
+			})
+		}
 	}
 }

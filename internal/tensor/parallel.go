@@ -164,7 +164,38 @@ func mustNotAlias(dst, src *Tensor, op string) {
 // ---- GEMM row kernels ----
 //
 // Each operates on the half-open output-row range [lo, hi) and fully
-// overwrites those rows, so destinations may be dirty.
+// overwrites those rows, so destinations may be dirty. The Go kernels
+// below are the reference: where useAVX2 holds, the entry points run the
+// AVX2 kernels of gemm_amd64.s instead, which reproduce them bit for bit
+// (DESIGN.md §11).
+
+// matMulRange is MatMulInto's row kernel.
+func matMulRange(r, a, b []float64, lo, hi, k, m int) {
+	if useAVX2 {
+		raceGEMM(r[lo*m:hi*m], a[lo*k:hi*k], b)
+		gemmAxpyAVX2(r, a, b, lo, hi, k, m, k, 1)
+		return
+	}
+	matMulRows(r, a, b, lo, hi, k, m)
+}
+
+// matMulTPacked is MatMulTInto's row kernel on AVX2 machines; bt is the
+// packed [k,m] transpose of the [m,k] operand.
+func matMulTPacked(r, a, bt []float64, lo, hi, k, m int) {
+	raceGEMM(r[lo*m:hi*m], a[lo*k:hi*k], bt)
+	gemmDotAVX2(r, a, bt, lo, hi, k, m, k, 1)
+}
+
+// tMatMulRange is TMatMulInto's row kernel. a is [k,n], so row i of aᵀ
+// is a column of a: stride 1 between rows, n between p.
+func tMatMulRange(r, a, b []float64, lo, hi, k, n, m int) {
+	if useAVX2 {
+		raceGEMM(r[lo*m:hi*m], a, b)
+		gemmAxpyAVX2(r, a, b, lo, hi, k, m, 1, n)
+		return
+	}
+	tMatMulRows(r, a, b, lo, hi, k, n, m)
+}
 
 // matMulRows computes r[i,:] = a[i,:] @ b for i in [lo, hi);
 // a is [n,k], b is [k,m], r is [n,m]. Inner order i-p-j keeps the access
@@ -255,11 +286,11 @@ func (t *Tensor) MatMulInto(o, dst *Tensor) *Tensor {
 	mustNotAlias(dst, t, "matmul")
 	mustNotAlias(dst, o, "matmul")
 	if Serial(n, n*k*m) {
-		matMulRows(dst.Data, t.Data, o.Data, 0, n, k, m)
+		matMulRange(dst.Data, t.Data, o.Data, 0, n, k, m)
 		return dst
 	}
 	parallelFor(n, n*k*m, func(lo, hi int) {
-		matMulRows(dst.Data, t.Data, o.Data, lo, hi, k, m)
+		matMulRange(dst.Data, t.Data, o.Data, lo, hi, k, m)
 	})
 	return dst
 }
@@ -280,6 +311,20 @@ func (t *Tensor) MatMulTInto(o, dst *Tensor) *Tensor {
 	}
 	mustNotAlias(dst, t, "matmulT")
 	mustNotAlias(dst, o, "matmulT")
+	if useAVX2 && k > 0 && m > 0 {
+		// The SIMD kernel needs each output row's operand columns
+		// contiguous: pack oᵀ ([k,m]) once, share it across shards.
+		bt := o.TransposeInto(GetDirty(k, m))
+		if Serial(n, n*k*m) {
+			matMulTPacked(dst.Data, t.Data, bt.Data, 0, n, k, m)
+		} else {
+			parallelFor(n, n*k*m, func(lo, hi int) {
+				matMulTPacked(dst.Data, t.Data, bt.Data, lo, hi, k, m)
+			})
+		}
+		Put(bt)
+		return dst
+	}
 	if Serial(n, n*k*m) {
 		matMulTRows(dst.Data, t.Data, o.Data, 0, n, k, m)
 		return dst
@@ -307,11 +352,11 @@ func (t *Tensor) TMatMulInto(o, dst *Tensor) *Tensor {
 	mustNotAlias(dst, t, "tmatmul")
 	mustNotAlias(dst, o, "tmatmul")
 	if Serial(n, n*k*m) {
-		tMatMulRows(dst.Data, t.Data, o.Data, 0, n, k, n, m)
+		tMatMulRange(dst.Data, t.Data, o.Data, 0, n, k, n, m)
 		return dst
 	}
 	parallelFor(n, n*k*m, func(lo, hi int) {
-		tMatMulRows(dst.Data, t.Data, o.Data, lo, hi, k, n, m)
+		tMatMulRange(dst.Data, t.Data, o.Data, lo, hi, k, n, m)
 	})
 	return dst
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,18 +43,24 @@ func sparsify(rng *rand.Rand, t *Tensor) {
 // TestParallelKernelsBitIdentical is the determinism guarantee of
 // DESIGN.md §11: because every output row has exactly one owner and the
 // inner-loop order is unchanged, parallel kernels must match serial ones
-// bit for bit — on tall, wide and square shapes, and with a zero-sparse
-// operand driving the skip fast path.
+// bit for bit — on tall, wide and square shapes, with a zero-sparse
+// operand driving the skip fast path, and at every SIMD column-tail
+// width. The GEMMs are checked against the Go reference kernels, so the
+// dispatching entry points are covered whichever kernel they pick.
 func TestParallelKernelsBitIdentical(t *testing.T) {
-	shapes := []struct {
+	type shape struct {
 		name    string
 		n, k, m int
 		sparse  bool
-	}{
+	}
+	shapes := []shape{
 		{"tall", 257, 33, 17, false},
 		{"wide", 17, 33, 257, false},
 		{"square", 64, 64, 64, false},
 		{"square/zero-sparse", 64, 64, 64, true},
+	}
+	for _, m := range []int{1, 3, 4, 8, 15, 16, 33} {
+		shapes = append(shapes, shape{fmt.Sprintf("tail/m=%d", m), 37, 29, m, m%2 == 1})
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -73,9 +80,12 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 				SetParallelism(0)
 				SetParallelThreshold(0)
 			})
-			wantMM := a.MatMul(bm)
-			wantMT := a.MatMulT(at)
-			wantTM := ta.TMatMul(bm)
+			wantMM := Zeros(sh.n, sh.m)
+			matMulRows(wantMM.Data, a.Data, bm.Data, 0, sh.n, sh.k, sh.m)
+			wantMT := Zeros(sh.n, sh.m)
+			matMulTRows(wantMT.Data, a.Data, at.Data, 0, sh.n, sh.k, sh.m)
+			wantTM := Zeros(sh.n, sh.m)
+			tMatMulRows(wantTM.Data, ta.Data, bm.Data, 0, sh.n, sh.k, sh.n, sh.m)
 			wantTr := a.Transpose()
 			wantSM := a.SoftmaxRows()
 

@@ -17,6 +17,20 @@ func benchMessage(enc Encoding) *Message {
 
 var benchEncodings = []Encoding{EncFP64, EncFP16, EncInt8}
 
+// reportPerValue reports ns/value: elapsed time per input float64 value
+// the loop handled, msgs' values once per iteration. The input values are
+// the codec's work whatever the encoding; throughput over encoded bytes
+// would credit int8 with an eighth of the work it does.
+func reportPerValue(b *testing.B, msgs ...*Message) {
+	values := 0
+	for _, m := range msgs {
+		for _, t := range m.Tensors {
+			values += len(t.Data)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(values)), "ns/value")
+}
+
 // BenchmarkEncodeFrame measures the destination-passing encoder with a
 // reused buffer — the steady-state send path. Must be 0 allocs/op.
 func BenchmarkEncodeFrame(b *testing.B) {
@@ -24,7 +38,6 @@ func BenchmarkEncodeFrame(b *testing.B) {
 		b.Run(enc.String(), func(b *testing.B) {
 			m := benchMessage(enc)
 			dst := make([]byte, 0, EncodedSize(m))
-			b.SetBytes(int64(EncodedSize(m)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -34,6 +47,7 @@ func BenchmarkEncodeFrame(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			reportPerValue(b, m)
 		})
 	}
 }
@@ -46,7 +60,6 @@ func BenchmarkFrameEncoder(b *testing.B) {
 		b.Run(enc.String(), func(b *testing.B) {
 			m := benchMessage(enc)
 			var fe FrameEncoder
-			b.SetBytes(int64(EncodedSize(m)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,6 +68,7 @@ func BenchmarkFrameEncoder(b *testing.B) {
 				}
 				fe.Release()
 			}
+			reportPerValue(b, m)
 		})
 	}
 }
@@ -65,8 +79,8 @@ func BenchmarkFrameEncoder(b *testing.B) {
 func BenchmarkDecodeFrame(b *testing.B) {
 	for _, enc := range benchEncodings {
 		b.Run(enc.String(), func(b *testing.B) {
-			body := mustEncode(b, benchMessage(enc))[4:]
-			b.SetBytes(int64(len(body) + 4))
+			in := benchMessage(enc)
+			body := mustEncode(b, in)[4:]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -76,6 +90,7 @@ func BenchmarkDecodeFrame(b *testing.B) {
 				}
 				Release(m)
 			}
+			reportPerValue(b, in)
 		})
 	}
 }
@@ -152,6 +167,7 @@ func BenchmarkStepBytes(b *testing.B) {
 				}
 				b.ReportMetric(float64(total), "bytes/step")
 				b.ReportMetric(float64(len(msgs)), "frames/step")
+				reportPerValue(b, msgs...)
 			})
 		}
 	}
